@@ -27,7 +27,9 @@ The committed JSON holds a ``baseline`` section (recorded *before* the
 hot-path engine landed, on the same machine that recorded ``scenarios``)
 and a ``scenarios`` section (the current numbers).  ``--check`` re-runs
 the suite and fails if any scenario is more than ``--tolerance`` (default
-25%) slower than the committed ``scenarios`` numbers.
+25%) slower than the committed ``scenarios`` numbers.  It fails closed:
+a missing ``--out`` file, or a scenario with no committed entry, is an
+error, never a pass.
 """
 
 from __future__ import annotations
@@ -179,6 +181,9 @@ def main(argv=None) -> int:
         help="measure in-process instead of one forked child per repeat",
     )
     args = parser.parse_args(argv)
+    if args.check and not os.path.exists(args.out):
+        print(f"FAIL: no committed reference at {args.out}")
+        return 2
 
     print(f"bench_wallclock: {args.repeats} repeats per scenario")
     results = run_suite(args.repeats, isolate=not args.no_isolate)
@@ -190,6 +195,8 @@ def main(argv=None) -> int:
         for name, entry in results.items():
             ref = reference.get(name, {}).get("seconds")
             if ref is None:
+                print(f"  check {name:>20}: no committed entry MISSING")
+                failures.append(name)
                 continue
             limit = ref * (1.0 + args.tolerance)
             status = "ok" if entry["seconds"] <= limit else "REGRESSION"
@@ -200,7 +207,7 @@ def main(argv=None) -> int:
             if entry["seconds"] > limit:
                 failures.append(name)
         if failures:
-            print(f"FAIL: wall-clock regression in {failures}")
+            print(f"FAIL: wall-clock regression or no reference in {failures}")
             return 1
         print("wall-clock check passed")
         return 0

@@ -28,7 +28,6 @@ from repro.cider.system import build_cider
 from repro.sim.errors import DeadlockError
 from repro.sim.explore import ReplayPolicy, explore, schedule_result
 from repro.sim.parallel import parse_jobs
-from repro.sim.snapshot import SnapshotCache, snapshot_systems
 
 APP_PATH = "/bin/race_app"
 SEED_PATH = "/system/bin/race_seed"
@@ -98,25 +97,19 @@ def app_ios(ctx, argv):
     return 0
 
 
-_SNAPSHOTS = SnapshotCache()
-
-
-def _capture():
+def build_world():
+    """The quiescent world: both binaries installed, no thread yet."""
     system = build_cider(start_services=False)
     vfs = system.kernel.vfs
     vfs.makedirs("/data/race")
     vfs.install_binary(APP_PATH, macho_executable("race_app", app_ios))
     vfs.install_binary(SEED_PATH, elf_executable("race_seed", seed_linux))
-    return snapshot_systems(system)
-
-
-def _snapshot():
-    return _SNAPSHOTS.get_or_capture("race-hunt", _capture)
+    return system
 
 
 def run_schedule(policy):
-    """One schedule: fresh cloned world, both personas, one policy."""
-    (system,) = _snapshot().clone()
+    """One schedule: fresh world, both personas, one policy."""
+    system = build_world()
     system.start_services()
     machine = system.machine
     monitor = machine.install_hb_monitor()
@@ -156,7 +149,7 @@ def main(argv=None):
         depth=14,
         preemptions=2,
         jobs=jobs,
-        prime=_snapshot,
+        prime=build_world,
     )
     for line in result.lines("race_hunt"):
         print(line)

@@ -77,10 +77,11 @@ class System:
         """Run the builder's service recipe (launchd, supervised daemons).
 
         Builders called with ``start_services=False`` stop at a
-        *quiescent* point — no simulated thread exists yet — which is the
-        only state a boot snapshot (:mod:`repro.sim.snapshot`) may
-        capture.  Each snapshot clone calls this to finish its own boot;
-        the combined charge is bit-identical to a fresh full build.
+        *quiescent* point — no simulated thread exists yet — so the world
+        is safe to build in a fork-server parent (:mod:`repro.sim.parallel`)
+        or to deep-copy (:mod:`repro.sim.snapshot`).  The sweep harnesses
+        build such a world per case and call this to finish its boot; the
+        combined charge is bit-identical to a fresh full build.
         """
         if self._start_services_fn is not None:
             self._start_services_fn(self)
@@ -324,7 +325,7 @@ def build_vanilla_android(
     journaled block device (seeded from the profile) so the system
     survives crash–reboot cycles with consistent storage.
     ``start_services=False`` returns before any simulated thread is
-    spawned — the snapshot-safe quiescent point; finish the boot later
+    spawned — the thread-free quiescent point; finish the boot later
     with :meth:`System.start_services`.
     """
     system = _boot_linux_kernel(profile or nexus7(), "vanilla-android")
@@ -379,7 +380,7 @@ def build_cider(
     after the boot image is installed, so only post-boot files are
     journal-tracked); with it the system survives :meth:`System.reboot`
     after a panic or power loss.  ``start_services=False`` stops at the
-    snapshot-safe quiescent point (no launchd, no simulated threads yet);
+    thread-free quiescent point (no launchd, no simulated threads yet);
     finish with :meth:`System.start_services`.
     """
     system = _boot_linux_kernel(profile or nexus7(), "cider")

@@ -68,7 +68,6 @@ from .parallel import (
 from .scheduler import Scheduler, SimThread, ThreadState, WaitQueue
 from .snapshot import (
     Snapshot,
-    SnapshotCache,
     SnapshotError,
     assert_quiescent,
     snapshot_systems,
@@ -125,7 +124,6 @@ __all__ = [
     "ThreadState",
     "WaitQueue",
     "Snapshot",
-    "SnapshotCache",
     "SnapshotError",
     "assert_quiescent",
     "snapshot_systems",

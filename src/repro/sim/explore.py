@@ -555,7 +555,7 @@ def explore(
 ) -> Exploration:
     """Systematically execute ``run_schedule`` under many interleavings.
 
-    ``run_schedule(policy)`` must boot a fresh (cloned) world, install
+    ``run_schedule(policy)`` must boot a fresh world, install
     ``policy`` on its scheduler, run the scenario, and return a
     :func:`schedule_result` dict — executions are fully independent, so
     waves fan out across fork workers (``jobs``) and the merged
@@ -568,6 +568,9 @@ def explore(
     ``mode="random"`` runs one :class:`SeededRandomPolicy` walk per
     seed (default ``range(budget)``).
 
+    ``prime`` (if given) runs once in the parent before the first wave
+    when ``jobs > 1``, so every forked wave inherits its warm caches.
+
     Every failure is deduped by its canonical key, its trace is
     greedily minimized (dropping deviations that are not needed to
     reproduce it, up to ``minimize_budget`` replays in total), and the
@@ -575,6 +578,8 @@ def explore(
     """
     if mode not in ("dfs", "random"):
         raise ExploreError(f"unknown exploration mode {mode!r}")
+    if prime is not None and jobs > 1:
+        prime()
     result = Exploration(mode, budget)
     seen_sigs: set = set()
 
@@ -609,7 +614,6 @@ def explore(
                 SeededRandomPolicy(walk_seeds[i], preemptions)
             ),
             jobs=jobs,
-            prime=prime,
         )
         record_batch(
             [(deviations(out["choices"]), out) for out in outs]
@@ -624,7 +628,6 @@ def explore(
                 len(wave),
                 lambda i: run_schedule(ReplayPolicy(wave[i])),
                 jobs=jobs,
-                prime=prime,
             )
             pairs = list(zip(wave, outs))
             fresh = record_batch(pairs)

@@ -7,11 +7,12 @@ byte-identical run to run.  Executed serially, sweep wall-clock scales
 with scenario count; this module makes it scale with scenario-count /
 cores without giving up a single byte of determinism:
 
-* **Fork server** — :func:`run_cases` first runs the caller's ``prime``
-  hook in the parent (imports, cost-model compilation, and crucially the
-  :mod:`repro.sim.snapshot` boot image), then forks ``jobs`` workers.
-  Each worker inherits the primed state through ``fork`` for free (COW),
-  so no worker ever pays the boot again.
+* **Fork server** — the parent warms its first-boot caches (imports,
+  cost-model compilation: partsweep and crashsweep through their record
+  pass, explorations through a ``prime`` hook that builds and drops one
+  quiescent world), then :func:`run_cases` forks ``jobs`` workers.  Each
+  worker inherits the warm state through ``fork`` for free (COW), so no
+  worker pays the cold first boot.
 * **Static deterministic sharding** — worker ``k`` owns cases ``k, k +
   jobs, k + 2*jobs, ...``.  No work queue, no timing-dependent
   assignment: which worker runs which case is a pure function of
@@ -23,12 +24,12 @@ cores without giving up a single byte of determinism:
   sha256 of partsweep/crashsweep transcripts is equal across ``--jobs``
   values.
 
-Fork safety follows the snapshot quiescence rule: the parent must hold
-no simulation token and no live sim threads of its own when it forks
-(booted worlds live either inside a snapshot — thread-free by
-construction — or inside the workers).  Where ``os.fork`` is unavailable
-(non-POSIX), everything degrades to the serial in-process path with
-identical results.
+Fork safety follows the quiescence rule: the parent must hold no
+simulation token and no live sim threads of its own when it forks (a
+primed world stops before its services start, so it is thread-free;
+booted worlds live only inside the workers).  Where ``os.fork`` is
+unavailable (non-POSIX), everything degrades to the serial in-process
+path with identical results.
 """
 
 from __future__ import annotations
@@ -125,11 +126,13 @@ def run_cases(
 ) -> List[object]:
     """Run ``run_case(index)`` for every case; results in case order.
 
-    ``prime`` (if given) runs exactly once in the parent before any case
-    — build boot snapshots and warm caches there so forked workers
-    inherit them.  With ``jobs <= 1``, a single case, or no ``fork``,
-    everything runs serially in-process; otherwise ``jobs`` fork-server
-    workers each run their static shard and the parent merges by index.
+    With ``jobs <= 1``, a single case, or no ``fork``, everything runs
+    serially in-process; otherwise ``jobs`` fork-server workers each run
+    their static shard and the parent merges by index.  ``prime`` (if
+    given) runs exactly once in the parent just before the fork — warm
+    caches there (e.g. build one thread-free world and drop it) so the
+    workers inherit them; it must not start a sim thread.  The serial
+    path skips it: its first case warms the same caches.
     Case results must be picklable (the sweep harnesses return plain
     strings/bools/dicts).
 
@@ -140,12 +143,12 @@ def run_cases(
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    if prime is not None:
-        prime()
     jobs = max(1, int(jobs))
     if jobs <= 1 or count <= 1 or not fork_available():
         return [run_case(index) for index in range(count)]
     jobs = min(jobs, count)
+    if prime is not None:
+        prime()
 
     workers = []  # (pid, read_fd)
     for k in range(jobs):

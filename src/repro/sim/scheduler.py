@@ -60,8 +60,8 @@ class _TokenHolder:
 
     def __deepcopy__(self, memo: dict) -> "_TokenHolder":
         # A threading.Event holds an OS lock and cannot be deep-copied.
-        # A holder is only ever cloned through a boot snapshot, taken at
-        # a quiescent point where nobody waits on the token — a fresh,
+        # A holder is only ever cloned through repro.sim.snapshot, which
+        # refuses any world where somebody waits on the token — a fresh,
         # unset event is exactly equivalent.  (SimThread overrides this:
         # a *live* thread has an OS stack no copy can reproduce.)
         clone = object.__new__(type(self))

@@ -1,14 +1,14 @@
-"""Boot-snapshot cache: clone a booted world instead of re-booting it.
+"""Boot snapshots: deep-copy a quiescent booted world.
 
-Sweep harnesses (``repro.workloads.partsweep``/``crashsweep``) and the
-determinism runs boot a fresh System — or a whole two-machine world —
-for every one of their 60+ cases, and the boot dominates each case's
-wall-clock.  A :class:`Snapshot` captures the expensive, *thread-free*
-part of that boot exactly once and hands out deep clones per case; every
-clone then finishes its own boot (launchd, supervised services) on its
-private copy, so each case still runs against pristine state while the
-kernel build, persona registration, userspace install and framework
-trees are paid for once per process.
+A :class:`Snapshot` captures the thread-free part of a boot and hands
+out deep clones; every clone then finishes its own boot (launchd,
+supervised services) on its private copy.  The sweep harnesses do *not*
+use it: a warm ``build_cider(start_services=False)`` costs a few
+milliseconds, several times less than a deep copy of the same world, so
+each sweep case builds its world from scratch (DESIGN.md §14).  What
+remains here is the clone itself, kept for the tests that hold a clone
+bit-identical to a fresh build and for the wall-clock benchmark's
+tracer, which probes :meth:`Snapshot.clone` and :func:`snapshot_systems`.
 
 The quiescence rule
 -------------------
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import copy
 import sys
-from typing import Callable, Dict, Iterable, Tuple
+from typing import Dict, Iterable, Tuple
 
 
 class SnapshotError(RuntimeError):
@@ -122,29 +122,3 @@ def snapshot_systems(*systems) -> Snapshot:
         tuple(systems), machines=[system.machine for system in systems]
     )
 
-
-class SnapshotCache:
-    """Named snapshots, captured once per process.
-
-    Harnesses keep one module-level cache; the first case (or the record
-    pass) captures the boot image and every later case — and every
-    fork-server worker, which inherits the populated cache through
-    ``fork`` — clones from it.
-    """
-
-    def __init__(self) -> None:
-        self._snapshots: Dict[str, Snapshot] = {}
-
-    def get_or_capture(
-        self, key: str, capture: Callable[[], Snapshot]
-    ) -> Snapshot:
-        snapshot = self._snapshots.get(key)
-        if snapshot is None:
-            snapshot = self._snapshots[key] = capture()
-        return snapshot
-
-    def clear(self) -> None:
-        self._snapshots.clear()
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._snapshots

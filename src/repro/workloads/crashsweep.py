@@ -34,10 +34,10 @@ The sweep report is a byte-comparable document with a SHA-256 digest:
 two same-configuration runs must print identical text
 (``tests/test_crash_recovery.py`` asserts it).
 
-Each site's system boots by cloning a boot snapshot
-(``repro.sim.snapshot``) and independent sites fan across fork-server
-workers (``repro.sim.parallel``): ``--jobs N`` changes wall-clock only —
-the transcript and its digest are byte-identical for every jobs value.
+Each site builds its own system from scratch and independent sites fan
+across fork-server workers (``repro.sim.parallel``): ``--jobs N``
+changes wall-clock only — the transcript and its digest are
+byte-identical for every jobs value.
 
 Run::
 
@@ -55,7 +55,6 @@ from ..kernel.recovery import _Document
 from ..sim.errors import DeadlockError, MachinePanic
 from ..sim.faults import FaultOutcome, FaultPlan, FaultRule
 from ..sim.parallel import parse_jobs, run_cases
-from ..sim.snapshot import Snapshot, SnapshotCache, snapshot_systems
 
 ELF_NOTES = "/data/notes/notesd"
 ELF_VERIFY = "/data/notes/notesck"
@@ -184,28 +183,20 @@ class SweepReport(_Document):
         self.recovered = 0
 
 
-#: Boot-snapshot cache: the durable system's thread-free boot half is
-#: captured once per process; every crash site clones it.  Fork-server
-#: workers inherit the populated cache through ``fork``.
-_SNAPSHOTS = SnapshotCache()
-
-
-def _capture_system() -> "Snapshot":
+def build_system():
+    """The quiescent durable system with the notes workload's boot task
+    registered — pure data, no simulated thread exists yet."""
     from ..cider.system import build_cider
 
     system = build_cider(durable=True, start_services=False)
     system.add_boot_task(install_notes)
-    return snapshot_systems(system)
-
-
-def _system_snapshot() -> "Snapshot":
-    return _SNAPSHOTS.get_or_capture("crashsweep-system", _capture_system)
+    return system
 
 
 def _build_system():
-    """One fresh durable system per site: clone the boot snapshot, then
-    finish the boot (launchd, boot tasks) on the private copy."""
-    (system,) = _system_snapshot().clone()
+    """One fresh durable system per site: build it, then finish the boot
+    (launchd, boot tasks)."""
+    system = build_system()
     system.start_services()
     return system
 
@@ -349,11 +340,9 @@ def run_sweep(
         point, nth, kind = sites[index]
         return sweep_site(point, nth, kind)
 
-    # The record pass above already populated the boot-snapshot cache,
-    # so forked workers inherit the system image and never re-boot it.
-    results = run_cases(
-        len(sites), one_site, jobs=jobs, prime=_system_snapshot
-    )
+    # The record pass above already warmed this process's first-boot
+    # caches, so forked workers inherit them.
+    results = run_cases(len(sites), one_site, jobs=jobs)
     for line, ok in results:
         report.line(line)
         report.sites += 1

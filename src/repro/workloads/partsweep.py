@@ -32,10 +32,11 @@ The sweep report is byte-comparable with a SHA-256 digest: two same-seed
 runs must print identical documents (the ``partition-sweep`` CI job
 diffs two hash-seed-flipped runs).
 
-The sweep boots each case's world by cloning a boot snapshot
-(``repro.sim.snapshot``) and fans independent cases across fork-server
-workers (``repro.sim.parallel``): ``--jobs N`` changes wall-clock only —
-the transcript and its digest are byte-identical for every jobs value.
+Each case builds its own world from scratch (a warm build costs a few
+milliseconds, less than deep-copying a booted one), and independent
+cases fan across fork-server workers (``repro.sim.parallel``):
+``--jobs N`` changes wall-clock only — the transcript and its digest are
+byte-identical for every jobs value.
 
 Run::
 
@@ -66,7 +67,6 @@ from ..net.http import ORIGIN_HOST
 from ..sim.errors import DeadlockError, MachinePanic
 from ..sim.faults import FaultOutcome, FaultPlan, FaultRule
 from ..sim.parallel import parse_jobs, run_cases
-from ..sim.snapshot import Snapshot, SnapshotCache, snapshot_systems
 
 MACHO_PATH = "/data/partsweep/partfetch"
 
@@ -178,16 +178,10 @@ def partfetch_ios(ctx: UserContext, argv: List[str]) -> int:
 
 # -- world plumbing ------------------------------------------------------------
 
-#: Boot-snapshot cache: the expensive, thread-free half of the world is
-#: captured once per process; every case (and the record pass) clones it.
-#: Fork-server workers inherit the populated cache through ``fork``.
-_SNAPSHOTS = SnapshotCache()
-
-
-def _capture_world() -> "Snapshot":
-    """Snapshot the quiescent two-machine world: Cider client (services
-    not yet started) + vanilla-Android origin (httpd not yet started) on
-    one segment, workload binary installed, resource envelope attached.
+def build_world():
+    """The quiescent two-machine world: Cider client (services not yet
+    started) + vanilla-Android origin (httpd not yet started) on one
+    segment, workload binary installed, resource envelope attached.
     Everything here is pure data — no simulated thread exists yet."""
     from ..cider.system import build_cider, build_vanilla_android
     from .netbench import ORIGIN_NET_IP
@@ -203,21 +197,17 @@ def _capture_world() -> "Snapshot":
         MACHO_PATH, macho_executable("partfetch", partfetch_ios)
     )
     client.machine.install_resources()
-    return snapshot_systems(client, origin)
-
-
-def _world_snapshot() -> "Snapshot":
-    return _SNAPSHOTS.get_or_capture("partsweep-world", _capture_world)
+    return client, origin
 
 
 def _build_world():
-    """One fresh world per case: clone the boot snapshot, then finish
-    each machine's boot on its private copy (launchd on the client, the
-    httpd accept loop on the origin — the thread-bearing half).  The
-    world is bare: no observatories — reports must not depend on them."""
+    """One fresh world per case: build it, then finish each machine's
+    boot (launchd on the client, the httpd accept loop on the origin —
+    the thread-bearing half).  The world is bare: no observatories —
+    reports must not depend on them."""
     from ..net.http import start_httpd_android
 
-    client, origin = _world_snapshot().clone()
+    client, origin = build_world()
     client.start_services()
     start_httpd_android(origin)
     origin.run_until_idle()  # let the origin reach its accept loop
@@ -437,11 +427,9 @@ def run_sweep(
         schedule_name, site = cases[index]
         return sweep_case(schedule_name, site, first_fetch_ns, fetches, seed)
 
-    # The record pass above already populated the boot-snapshot cache,
-    # so forked workers inherit the world image and never re-boot it.
-    results = run_cases(
-        len(cases), one_case, jobs=jobs, prime=_world_snapshot
-    )
+    # The record pass above already warmed this process's first-boot
+    # caches, so forked workers inherit them.
+    results = run_cases(len(cases), one_case, jobs=jobs)
     for line, ok in results:
         report.line(line)
         report.cases += 1

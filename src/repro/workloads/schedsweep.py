@@ -5,7 +5,7 @@ that interleaving-dependent bugs hiding outside the default FIFO
 schedule are *findable*, that every finding dedupes to one canonical
 report with a minimized replayable choice trace, and that the whole
 search is deterministic.  This harness proves it on three scenarios,
-each a small multi-threaded iOS program run on a snapshot-cloned Cider
+each a small multi-threaded iOS program run on a freshly built Cider
 world:
 
 * **race** — a producer/consumer pipeline over pipes whose main thread
@@ -27,8 +27,8 @@ failure strings and replay outcomes, so two runs — any ``--jobs`` value,
 any ``PYTHONHASHSEED`` — must print identical documents (the
 ``schedule-fuzz`` CI job diffs them).
 
-Schedules re-execute from one boot snapshot (``repro.sim.snapshot``)
-and fan out across fork-server workers (``repro.sim.parallel``):
+Every schedule re-executes in a world built from scratch and schedules
+fan out across fork-server workers (``repro.sim.parallel``):
 ``--jobs N`` changes wall-clock only.
 
 Run::
@@ -52,7 +52,6 @@ from ..sim.explore import (
     schedule_result,
 )
 from ..sim.parallel import parse_jobs
-from ..sim.snapshot import Snapshot, SnapshotCache, snapshot_systems
 
 RACER_PATH = "/data/schedsweep/racer"
 LOCKER_PATH = "/data/schedsweep/locker"
@@ -170,15 +169,9 @@ def clean_ios(ctx: UserContext, argv: List[str]) -> int:
 
 # -- world plumbing ------------------------------------------------------------
 
-#: Boot-snapshot cache: the quiescent Cider world is captured once per
-#: process; every explored schedule clones it.  Fork-server workers
-#: inherit the populated cache through ``fork``.
-_SNAPSHOTS = SnapshotCache()
-
-
-def _capture_world() -> "Snapshot":
-    """Snapshot the quiescent Cider system with the three scenario
-    binaries installed — pure data, no simulated thread exists yet."""
+def build_world():
+    """The quiescent Cider system with the three scenario binaries
+    installed — pure data, no simulated thread exists yet."""
     from ..cider.system import build_cider
 
     system = build_cider(start_services=False)
@@ -187,20 +180,15 @@ def _capture_world() -> "Snapshot":
     vfs.install_binary(RACER_PATH, macho_executable("racer", racer_ios))
     vfs.install_binary(LOCKER_PATH, macho_executable("locker", locker_ios))
     vfs.install_binary(CLEAN_PATH, macho_executable("cleanrun", clean_ios))
-    return snapshot_systems(system)
-
-
-def _world_snapshot() -> "Snapshot":
-    return _SNAPSHOTS.get_or_capture("schedsweep-world", _capture_world)
+    return system
 
 
 def run_scenario_schedule(
     path: str, policy: SchedulePolicy
 ) -> Dict[str, object]:
-    """Execute one scenario under one schedule policy in a fresh cloned
-    world; returns the picklable :func:`schedule_result` dict."""
-    (system,) = _world_snapshot().clone()
-    return run_schedule_on(system, path, policy)
+    """Execute one scenario under one schedule policy in a fresh world;
+    returns the picklable :func:`schedule_result` dict."""
+    return run_schedule_on(build_world(), path, policy)
 
 
 def run_schedule_on(
@@ -237,7 +225,7 @@ def run_schedule_on(
     try:
         system.shutdown()
     except Exception:
-        pass  # a deadlocked clone is discarded, not recovered
+        pass  # a deadlocked world is discarded, not recovered
     return schedule_result(policy, status, monitor, deadlocked)
 
 
@@ -309,7 +297,7 @@ def run_sweep(budget: int = DEFAULT_BUDGET, jobs: int = 1) -> SweepReport:
             mode=mode,
             budget=budget,
             jobs=jobs,
-            prime=_world_snapshot,
+            prime=build_world,
             **kwargs,
         )
         prefix = f"schedsweep[{name}]"

@@ -228,13 +228,8 @@ def test_failure_keys_cover_every_kind():
 # -- whole-system exploration (the schedsweep scenarios) -----------------------
 
 
-@pytest.fixture(scope="module")
-def world_snapshot():
-    return schedsweep._world_snapshot()
-
-
 class TestScenarioExploration:
-    def test_default_schedule_is_clean_for_racer(self, world_snapshot):
+    def test_default_schedule_is_clean_for_racer(self):
         out = schedsweep.run_scenario_schedule(
             schedsweep.RACER_PATH, FifoPolicy()
         )
@@ -242,7 +237,7 @@ class TestScenarioExploration:
         assert out["races"] == []
         assert out["cycles"] == []
 
-    def test_explorer_finds_and_minimizes_planted_race(self, world_snapshot):
+    def test_explorer_finds_and_minimizes_planted_race(self):
         result = explore(
             lambda policy: schedsweep.run_scenario_schedule(
                 schedsweep.RACER_PATH, policy
@@ -262,7 +257,7 @@ class TestScenarioExploration:
         assert len(record["minimized"]) <= 1
         assert record["reproduced"], "ReplayPolicy must reproduce the race"
 
-    def test_explorer_finds_lock_cycle_and_deadlock(self, world_snapshot):
+    def test_explorer_finds_lock_cycle_and_deadlock(self):
         result = explore(
             lambda policy: schedsweep.run_scenario_schedule(
                 schedsweep.LOCKER_PATH, policy
@@ -277,7 +272,7 @@ class TestScenarioExploration:
         for record in result.failures.values():
             assert record["reproduced"]
 
-    def test_clean_scenario_reports_nothing(self, world_snapshot):
+    def test_clean_scenario_reports_nothing(self):
         result = explore(
             lambda policy: schedsweep.run_scenario_schedule(
                 schedsweep.CLEAN_PATH, policy
@@ -289,7 +284,7 @@ class TestScenarioExploration:
         assert result.explored == 8
         assert not result.failures
 
-    def test_parallel_exploration_is_byte_identical(self, world_snapshot):
+    def test_parallel_exploration_is_byte_identical(self):
         def hunt(jobs):
             return explore(
                 lambda policy: schedsweep.run_scenario_schedule(
@@ -300,7 +295,7 @@ class TestScenarioExploration:
                 depth=12,
                 preemptions=2,
                 jobs=jobs,
-                prime=schedsweep._world_snapshot,
+                prime=schedsweep.build_world,
             )
 
         serial, parallel = hunt(1), hunt(2)
@@ -311,11 +306,11 @@ class TestScenarioExploration:
 
 
 class TestDeterministicWakeups:
-    """Satellite: wakeup order must be stable across snapshot cloning —
-    the same seeded policy on two clones (and on a freshly built world)
+    """Wakeup order must be stable across worlds — the same seeded
+    policy on two freshly built worlds (and on a snapshot clone of one)
     makes identical decisions over identical ready sets."""
 
-    def test_clones_run_identical_seeded_traces(self, world_snapshot):
+    def test_clones_run_identical_seeded_traces(self):
         policy_a = SeededRandomPolicy(5, preemption_bound=3)
         policy_b = SeededRandomPolicy(5, preemption_bound=3)
         out_a = schedsweep.run_scenario_schedule(
@@ -328,22 +323,15 @@ class TestDeterministicWakeups:
         assert out_a["sig"] == out_b["sig"]
         assert out_a["races"] == out_b["races"]
 
-    def test_fresh_world_matches_cloned_world(self, world_snapshot):
-        from repro.binfmt import macho_executable
-        from repro.cider.system import build_cider
+    def test_fresh_world_matches_cloned_world(self):
+        from repro.sim.snapshot import snapshot_systems
 
-        cloned = schedsweep.run_scenario_schedule(
+        fresh = schedsweep.run_scenario_schedule(
             schedsweep.RACER_PATH, SeededRandomPolicy(5, preemption_bound=3)
         )
-        fresh_system = build_cider(start_services=False)
-        vfs = fresh_system.kernel.vfs
-        vfs.makedirs("/data/schedsweep")
-        vfs.install_binary(
-            schedsweep.RACER_PATH,
-            macho_executable("racer", schedsweep.racer_ios),
-        )
-        fresh = schedsweep.run_schedule_on(
-            fresh_system,
+        (cloned_system,) = snapshot_systems(schedsweep.build_world()).clone()
+        cloned = schedsweep.run_schedule_on(
+            cloned_system,
             schedsweep.RACER_PATH,
             SeededRandomPolicy(5, preemption_bound=3),
         )
@@ -352,14 +340,14 @@ class TestDeterministicWakeups:
 
 
 class TestZeroCostWhenOff:
-    def test_policy_and_monitor_charge_nothing(self, world_snapshot):
+    def test_policy_and_monitor_charge_nothing(self):
         """The FIFO policy + monitor run the exact default schedule and
         charge the exact same virtual picoseconds as the bare scheduler
         (the golden Figure-5 capture guards the same invariant end to
         end)."""
 
         def run(instrumented):
-            (system,) = schedsweep._world_snapshot().clone()
+            system = schedsweep.build_world()
             system.start_services()
             machine = system.machine
             if instrumented:
@@ -377,8 +365,8 @@ class TestZeroCostWhenOff:
         assert bare_code == inst_code == 0
         assert bare_charged == inst_charged
 
-    def test_defaults_are_off(self, world_snapshot):
-        (system,) = schedsweep._world_snapshot().clone()
+    def test_defaults_are_off(self):
+        system = schedsweep.build_world()
         machine = system.machine
         assert machine.hb is None
         assert machine.scheduler.hb is None
