@@ -661,22 +661,3 @@ def explore(
         result.replays += 1
         record["reproduced"] = key in failure_keys(out)
     return result
-
-
-# -- CLI -----------------------------------------------------------------------
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """``python -m repro.sim.explore`` — run the schedsweep scenarios.
-
-    The heavy lifting (worlds, workloads, report) lives in
-    :mod:`repro.workloads.schedsweep`; this entry point exists so the
-    explorer is reachable from its own package.
-    """
-    from ..workloads import schedsweep
-
-    return schedsweep.main(argv)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -41,7 +41,7 @@ byte-identical for every jobs value.
 
 Run::
 
-    PYTHONPATH=src python -m repro.workloads.crashsweep \
+    PYTHONPATH=src python -m repro.workloads.sweep crashsweep \
         [max_sites|all] [--jobs N] [--timings FILE]
 """
 
@@ -51,10 +51,10 @@ from typing import Dict, List, Optional, Tuple
 
 from ..binfmt import elf_executable, macho_executable
 from ..kernel.process import UserContext
-from ..kernel.recovery import _Document
 from ..sim.errors import DeadlockError, MachinePanic
 from ..sim.faults import FaultOutcome, FaultPlan, FaultRule
-from ..sim.parallel import parse_jobs, run_cases
+from ..sim.parallel import run_cases
+from .sweep import SweepReport
 
 ELF_NOTES = "/data/notes/notesd"
 ELF_VERIFY = "/data/notes/notesck"
@@ -174,15 +174,6 @@ def install_notes(system) -> None:
 # -- sweep machinery -----------------------------------------------------------
 
 
-class SweepReport(_Document):
-    """The byte-comparable sweep transcript (one line per site)."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.sites = 0
-        self.recovered = 0
-
-
 def build_system():
     """The quiescent durable system with the notes workload's boot task
     registered — pure data, no simulated thread exists yet."""
@@ -252,20 +243,9 @@ def sample_sites(
     ]
 
 
-def sweep_site(
-    point: str, nth: int, kind: str, observe: bool = False
-) -> Tuple[str, bool]:
-    """One crash–reboot–fsck–verify cycle; returns (report line, ok).
-
-    ``observe`` installs an observatory on the swept machine so each
-    iteration's attempt and recovery phases are profiled spans (the
-    default stays bare: the sweep report must be byte-identical with
-    and without observability).
-    """
+def sweep_site(point: str, nth: int, kind: str) -> Tuple[str, bool]:
+    """One crash–reboot–fsck–verify cycle; returns (report line, ok)."""
     system = _build_system()
-    machine = system.machine
-    if observe:
-        machine.install_observatory()
     outcome = (
         FaultOutcome.power_loss()
         if kind == "power_loss"
@@ -286,8 +266,7 @@ def sweep_site(
     label = f"{point}#{nth} {kind}"
     crashed = False
     try:
-        with machine.span("workload.crashsweep", "attempt", site=label):
-            _run_workload(system)
+        _run_workload(system)
     except MachinePanic:
         crashed = True
     except DeadlockError:
@@ -302,12 +281,11 @@ def sweep_site(
         system.shutdown()
         return f"crashsweep: {label}: NOT-REACHED", False
 
-    with machine.span("workload.crashsweep", "recover", site=label):
-        system.reboot(reason=f"crashsweep {label}")
-        fsck_ok = system.fsck_report is not None and system.fsck_report.ok
-        lenient_ok = _run_verify(system, strict=False) == 0
-        rerun_ok = _run_workload(system) == 0
-        strict_ok = _run_verify(system, strict=True) == 0
+    system.reboot(reason=f"crashsweep {label}")
+    fsck_ok = system.fsck_report is not None and system.fsck_report.ok
+    lenient_ok = _run_verify(system, strict=False) == 0
+    rerun_ok = _run_workload(system) == 0
+    strict_ok = _run_verify(system, strict=True) == 0
     ok = fsck_ok and lenient_ok and rerun_ok and strict_ok
     system.shutdown()
     line = (
@@ -344,63 +322,8 @@ def run_sweep(
     # caches, so forked workers inherit them.
     results = run_cases(len(sites), one_site, jobs=jobs)
     for line, ok in results:
-        report.line(line)
-        report.sites += 1
-        if ok:
-            report.recovered += 1
+        report.case(line, ok)
     report.line(
-        f"crashsweep: {report.recovered}/{report.sites} site(s) recovered"
+        f"crashsweep: {report.passed}/{report.cases} site(s) recovered"
     )
     return report
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    import json
-    import sys
-    import time
-
-    args = list(sys.argv[1:] if argv is None else argv)
-    usage = (
-        "usage: python -m repro.workloads.crashsweep "
-        "[max_sites|all] [--jobs N] [--timings FILE]"
-    )
-    max_sites: Optional[int] = DEFAULT_MAX_SITES
-    jobs = 1
-    timings_path: Optional[str] = None
-    try:
-        while args:
-            arg = args.pop(0)
-            if arg == "--jobs":
-                jobs = parse_jobs(args.pop(0))
-            elif arg == "--timings":
-                timings_path = args.pop(0)
-            elif arg == "all":
-                max_sites = None
-            else:
-                max_sites = int(arg)
-    except (IndexError, ValueError):
-        print(usage, file=sys.stderr)
-        return 2
-    start = time.perf_counter()
-    report = run_sweep(max_sites, jobs=jobs)
-    wall_seconds = time.perf_counter() - start
-    print(report.text(), end="")
-    print(f"sweep sha256: {report.digest()}")
-    if timings_path is not None:
-        with open(timings_path, "w") as fh:
-            json.dump(
-                {
-                    "harness": "crashsweep",
-                    "jobs": jobs,
-                    "sites": report.sites,
-                    "wall_seconds": round(wall_seconds, 3),
-                },
-                fh,
-                sort_keys=True,
-            )
-            fh.write("\n")
-    return 0 if report.recovered == report.sites else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -29,8 +29,8 @@ the whole matrix instead of hand-picking cases:
    pre-workload baselines.
 
 The sweep report is byte-comparable with a SHA-256 digest: two same-seed
-runs must print identical documents (the ``partition-sweep`` CI job
-diffs two hash-seed-flipped runs).
+runs must print identical documents (the ``sweeps`` CI job diffs two
+hash-seed-flipped runs).
 
 Each case builds its own world from scratch (a warm build costs a few
 milliseconds, less than deep-copying a booted one), and independent
@@ -40,7 +40,7 @@ byte-identical for every jobs value.
 
 Run::
 
-    PYTHONPATH=src python -m repro.workloads.partsweep \
+    PYTHONPATH=src python -m repro.workloads.sweep partsweep \
         [max_cases|all] [--jobs N] [--timings FILE]
 """
 
@@ -61,12 +61,12 @@ from ..kernel.errno import (
     errno_name,
 )
 from ..kernel.process import UserContext
-from ..kernel.recovery import _Document
 from ..net.conditions import DIR_IN, LinkSchedule, LinkWindow
 from ..net.http import ORIGIN_HOST
 from ..sim.errors import DeadlockError, MachinePanic
 from ..sim.faults import FaultOutcome, FaultPlan, FaultRule
-from ..sim.parallel import parse_jobs, run_cases
+from ..sim.parallel import run_cases
+from .sweep import SweepReport
 
 MACHO_PATH = "/data/partsweep/partfetch"
 
@@ -390,15 +390,6 @@ def sweep_case(
     return line, passed
 
 
-class SweepReport(_Document):
-    """The byte-comparable sweep transcript (one line per case)."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.cases = 0
-        self.passed = 0
-
-
 def run_sweep(
     max_cases: Optional[int] = DEFAULT_MAX_CASES,
     fetches: int = DEFAULT_FETCHES,
@@ -431,61 +422,6 @@ def run_sweep(
     # caches, so forked workers inherit them.
     results = run_cases(len(cases), one_case, jobs=jobs)
     for line, ok in results:
-        report.line(line)
-        report.cases += 1
-        if ok:
-            report.passed += 1
+        report.case(line, ok)
     report.line(f"partsweep: {report.passed}/{report.cases} case(s) passed")
     return report
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    import json
-    import sys
-    import time
-
-    args = list(sys.argv[1:] if argv is None else argv)
-    usage = (
-        "usage: python -m repro.workloads.partsweep "
-        "[max_cases|all] [--jobs N] [--timings FILE]"
-    )
-    max_cases: Optional[int] = DEFAULT_MAX_CASES
-    jobs = 1
-    timings_path: Optional[str] = None
-    try:
-        while args:
-            arg = args.pop(0)
-            if arg == "--jobs":
-                jobs = parse_jobs(args.pop(0))
-            elif arg == "--timings":
-                timings_path = args.pop(0)
-            elif arg == "all":
-                max_cases = None
-            else:
-                max_cases = int(arg)
-    except (IndexError, ValueError):
-        print(usage, file=sys.stderr)
-        return 2
-    start = time.perf_counter()
-    report = run_sweep(max_cases, jobs=jobs)
-    wall_seconds = time.perf_counter() - start
-    print(report.text(), end="")
-    print(f"sweep sha256: {report.digest()}")
-    if timings_path is not None:
-        with open(timings_path, "w") as fh:
-            json.dump(
-                {
-                    "harness": "partsweep",
-                    "jobs": jobs,
-                    "cases": report.cases,
-                    "wall_seconds": round(wall_seconds, 3),
-                },
-                fh,
-                sort_keys=True,
-            )
-            fh.write("\n")
-    return 0 if report.passed == report.cases else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -25,7 +25,7 @@ The sweep report is byte-comparable with a SHA-256 digest: report lines
 come only from choice traces (thread names, never ids), canonical
 failure strings and replay outcomes, so two runs — any ``--jobs`` value,
 any ``PYTHONHASHSEED`` — must print identical documents (the
-``schedule-fuzz`` CI job diffs them).
+``sweeps`` CI job diffs them).
 
 Every schedule re-executes in a world built from scratch and schedules
 fan out across fork-server workers (``repro.sim.parallel``):
@@ -33,17 +33,16 @@ fan out across fork-server workers (``repro.sim.parallel``):
 
 Run::
 
-    PYTHONPATH=src python -m repro.workloads.schedsweep \
+    PYTHONPATH=src python -m repro.workloads.sweep schedsweep \
         [budget] [--jobs N] [--timings FILE]
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..binfmt import macho_executable
 from ..kernel.process import UserContext
-from ..kernel.recovery import _Document
 from ..sim.errors import DeadlockError, MachinePanic
 from ..sim.explore import (
     Exploration,
@@ -51,7 +50,7 @@ from ..sim.explore import (
     explore,
     schedule_result,
 )
-from ..sim.parallel import parse_jobs
+from .sweep import SweepReport
 
 RACER_PATH = "/data/schedsweep/racer"
 LOCKER_PATH = "/data/schedsweep/locker"
@@ -272,16 +271,6 @@ SCENARIOS: Tuple = (
 )
 
 
-class SweepReport(_Document):
-    """The byte-comparable sweep transcript."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.scenarios = 0
-        self.passed = 0
-        self.explored = 0
-
-
 def run_sweep(budget: int = DEFAULT_BUDGET, jobs: int = 1) -> SweepReport:
     """Explore every scenario.  ``jobs > 1`` fans each wave of schedules
     across a fork-server worker pool; the merged report is byte-identical
@@ -291,6 +280,7 @@ def run_sweep(budget: int = DEFAULT_BUDGET, jobs: int = 1) -> SweepReport:
         f"schedsweep: {len(SCENARIOS)} scenario(s), "
         f"budget {budget} schedule(s) each"
     )
+    explored = 0
     for name, path, mode, kwargs, check in SCENARIOS:
         result = explore(
             lambda policy, _path=path: run_scenario_schedule(_path, policy),
@@ -304,66 +294,14 @@ def run_sweep(budget: int = DEFAULT_BUDGET, jobs: int = 1) -> SweepReport:
         for line in result.lines(prefix):
             report.line(line)
         ok, expectation = check(result)
-        report.line(
+        report.case(
             f"{prefix}: expected {expectation} "
-            f"-> {'PASS' if ok else 'FAILED'}"
+            f"-> {'PASS' if ok else 'FAILED'}",
+            ok,
         )
-        report.scenarios += 1
-        report.explored += result.explored
-        if ok:
-            report.passed += 1
+        explored += result.explored
     report.line(
-        f"schedsweep: {report.passed}/{report.scenarios} scenario(s) "
-        f"passed ({report.explored} schedule(s) explored)"
+        f"schedsweep: {report.passed}/{report.cases} scenario(s) "
+        f"passed ({explored} schedule(s) explored)"
     )
     return report
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    import json
-    import sys
-    import time
-
-    args = list(sys.argv[1:] if argv is None else argv)
-    usage = (
-        "usage: python -m repro.workloads.schedsweep "
-        "[budget] [--jobs N] [--timings FILE]"
-    )
-    budget = DEFAULT_BUDGET
-    jobs = 1
-    timings_path: Optional[str] = None
-    try:
-        while args:
-            arg = args.pop(0)
-            if arg == "--jobs":
-                jobs = parse_jobs(args.pop(0))
-            elif arg == "--timings":
-                timings_path = args.pop(0)
-            else:
-                budget = int(arg)
-    except (IndexError, ValueError):
-        print(usage, file=sys.stderr)
-        return 2
-    start = time.perf_counter()
-    report = run_sweep(budget, jobs=jobs)
-    wall_seconds = time.perf_counter() - start
-    print(report.text(), end="")
-    print(f"sweep sha256: {report.digest()}")
-    if timings_path is not None:
-        with open(timings_path, "w") as fh:
-            json.dump(
-                {
-                    "harness": "schedsweep",
-                    "jobs": jobs,
-                    "schedules": report.explored,
-                    "wall_seconds": round(wall_seconds, 3),
-                },
-                fh,
-                sort_keys=True,
-            )
-            fh.write("\n")
-    return 0 if report.passed == report.scenarios else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -8,36 +8,38 @@ serially, with the digest committed in
 ``benchmarks/golden_sweep_sha256.json``.  A missing golden fails the
 test.
 
-If a change *intends* to move a transcript, re-record its digest from
-the ``sweep sha256:`` line the CLI prints::
+The golden keys are the CLI arguments of each sweep's full run.  If a
+change *intends* to move a transcript, re-record its digest from the
+``sweep sha256:`` line the CLI prints::
 
-    PYTHONPATH=src python -m repro.workloads.partsweep all
-    PYTHONPATH=src python -m repro.workloads.crashsweep all
-    PYTHONPATH=src python -m repro.workloads.schedsweep
+    PYTHONPATH=src python -m repro.workloads.sweep partsweep all
+    PYTHONPATH=src python -m repro.workloads.sweep crashsweep all
+    PYTHONPATH=src python -m repro.workloads.sweep schedsweep
 """
 
+import importlib
 import json
 import os
 
 import pytest
 
-from repro.workloads import crashsweep, partsweep, schedsweep
+from repro.workloads import sweep
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)),
     "..", "..", "benchmarks", "golden_sweep_sha256.json",
 )
 
-#: Golden key -> the serial full sweep it pins.
-SWEEPS = {
-    "partsweep all": lambda: partsweep.run_sweep(max_cases=None, jobs=1),
-    "crashsweep all": lambda: crashsweep.run_sweep(max_sites=None, jobs=1),
-    "schedsweep": lambda: schedsweep.run_sweep(jobs=1),
-}
+#: The golden keys: each sweep's full run, as CLI arguments.
+FULL_RUNS = sorted(
+    f"{name} all" if every else name for name, every in sweep.SWEEPS.items()
+)
 
 
-@pytest.mark.parametrize("name", sorted(SWEEPS))
-def test_sweep_transcript_matches_golden(name):
+@pytest.mark.parametrize("key", FULL_RUNS)
+def test_sweep_transcript_matches_golden(key):
     with open(GOLDEN_PATH) as fh:
-        expected = json.load(fh)[name]
-    assert SWEEPS[name]().digest() == expected
+        expected = json.load(fh)[key]
+    name, size, jobs, _timings = sweep.parse_args(key.split())
+    module = importlib.import_module(f"repro.workloads.{name}")
+    assert module.run_sweep(*size, jobs=jobs).digest() == expected

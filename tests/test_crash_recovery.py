@@ -283,8 +283,8 @@ def test_sweep_sampling_is_deterministic():
 
 def test_crash_point_sweep_recovers_every_sampled_site():
     report = crashsweep.run_sweep(max_sites=4)
-    assert report.sites == 4
-    assert report.recovered == 4
+    assert report.cases == 4
+    assert report.passed == 4
     assert "RECOVERED" in report.lines[2]
 
 

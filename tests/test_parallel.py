@@ -143,7 +143,7 @@ def test_crashsweep_jobs_transcript_byte_identical():
     parallel = run_sweep(max_sites=6, jobs=4)
     assert parallel.text() == serial.text()
     assert parallel.digest() == serial.digest()
-    assert parallel.sites == serial.sites == 6
+    assert parallel.cases == serial.cases == 6
 
 
 @needs_fork
